@@ -40,7 +40,7 @@
 // The goodput/coalesce phase rows also land in admission_goodput.csv
 // (NOBLE_BENCH_OUT) so CI ships the numbers as an artifact.
 //
-// Knobs: the shared NOBLE_ENGINE_* set (bench::engine_config_from_env —
+// Knobs: the shared NOBLE_ENGINE_* set (bench::EnvConfig::engine —
 // NOBLE_ENGINE_CLASS_CAPS, NOBLE_ENGINE_DEADLINE_US, NOBLE_ENGINE_EDF and
 // NOBLE_ENGINE_COALESCE included), NOBLE_FLEET_ENGINES,
 // NOBLE_ADMISSION_INTERACTIVE_CLIENTS / NOBLE_ADMISSION_BULK_CLIENTS /
@@ -68,6 +68,7 @@
 #include "serve/imu_localizer.h"
 #include "serve/wifi_localizer.h"
 #include "support/bench_util.h"
+#include "support/env_config.h"
 
 int main() {
   using namespace noble;
@@ -94,27 +95,29 @@ int main() {
   defaults.max_wait_us = 100;
   defaults.queue_cap = 256;
   defaults.bulk_cap = 64;  // 192 slots reserved for interactive traffic
-  const engine::EngineConfig cfg = bench::engine_config_from_env(defaults);
+  bench::EnvConfig env;
+  const engine::EngineConfig cfg = env.engine(defaults);
   const auto engines_per_shard =
-      static_cast<std::size_t>(env_int("NOBLE_FLEET_ENGINES", 1));
+      static_cast<std::size_t>(env.integer("NOBLE_FLEET_ENGINES", 1));
 
   bench::MixedLoadConfig load;
   load.interactive_clients = static_cast<std::size_t>(
-      env_int("NOBLE_ADMISSION_INTERACTIVE_CLIENTS", 2));
+      env.integer("NOBLE_ADMISSION_INTERACTIVE_CLIENTS", 2));
   load.bulk_clients =
-      static_cast<std::size_t>(env_int("NOBLE_ADMISSION_BULK_CLIENTS", 2));
+      static_cast<std::size_t>(env.integer("NOBLE_ADMISSION_BULK_CLIENTS", 2));
   // The 384-per-client floor keeps the p99 gate statistically meaningful
   // even at smoke scale: with 2 clients the comparison rests on ~768
   // samples per phase, not a handful a scheduler hiccup could flip.
   load.interactive_requests = static_cast<std::size_t>(
-      env_int("NOBLE_ADMISSION_REQUESTS", static_cast<long>(scaled(1000, 384))));
+      env.integer("NOBLE_ADMISSION_REQUESTS", static_cast<long>(scaled(1000, 384))));
   load.bulk_requests = 4 * load.interactive_requests;
   load.interactive_pace_us =
-      static_cast<std::uint64_t>(env_int("NOBLE_ADMISSION_PACE_US", 200));
+      static_cast<std::uint64_t>(env.integer("NOBLE_ADMISSION_PACE_US", 200));
   load.bulk_deadline_us = static_cast<std::uint64_t>(
-      env_int("NOBLE_ADMISSION_BULK_DEADLINE_US", 5000));
+      env.integer("NOBLE_ADMISSION_BULK_DEADLINE_US", 5000));
   load.bulk_inflight_window = 256;  // flood, do not self-throttle
   load.bulk_sustain = true;  // keep flooding until the interactive run ends
+  std::printf("knobs:\n%s\n", env.describe().c_str());
 
   const std::string key = "campus";
   const std::vector<std::string> keys{key};
@@ -220,7 +223,6 @@ int main() {
     gcfg.workers = 1;        // one drain rate, so the two phases are comparable
     gcfg.max_batch = 16;
     gcfg.max_wait_us = 0;
-    gcfg.adaptive_wait = false;
     gcfg.queue_cap = backlog + 64;  // the whole backlog queues; none is shed
     gcfg.interactive_cap = 0;
     gcfg.bulk_cap = backlog;        // 64 slots stay interactive-only headroom
@@ -345,7 +347,6 @@ int main() {
     scfg.workers = 1;  // same drain capacity; only the scheduling differs
     scfg.max_batch = 16;
     scfg.max_wait_us = 100;
-    scfg.adaptive_wait = false;
     scfg.queue_cap = 1024;
     scfg.interactive_cap = 0;
     scfg.bulk_cap = 0;

@@ -16,7 +16,6 @@
 
 #include "common/config.h"
 #include "common/rng.h"
-#include "gateway/client.h"
 #include "kernels/kernels.h"
 #include "obs/trace.h"
 
@@ -67,20 +66,14 @@ core::NobleImuConfig noble_imu_config() {
   return cfg;
 }
 
-engine::EngineConfig engine_config_from_env(engine::EngineConfig defaults) {
-  EnvConfig env;
-  return env.engine(std::move(defaults));
-}
-
 std::string describe_engine_config(const engine::EngineConfig& cfg) {
   char buffer[384];
   std::snprintf(buffer, sizeof(buffer),
-                "%zu workers, max_batch %zu, max_wait %llu us%s, queue_cap %zu "
+                "%zu workers, max_batch %zu, max_wait %llu us, queue_cap %zu "
                 "(class caps %zu:%zu), bulk %s, sessions %s, deadline %llu us, "
                 "backend %s, cache %zu, kernel %s",
                 cfg.workers, cfg.max_batch,
-                static_cast<unsigned long long>(cfg.max_wait_us),
-                cfg.adaptive_wait ? " (adaptive)" : "", cfg.queue_cap,
+                static_cast<unsigned long long>(cfg.max_wait_us), cfg.queue_cap,
                 cfg.interactive_cap, cfg.bulk_cap,
                 cfg.edf_bulk ? "edf" : "fifo",
                 cfg.coalesce_sessions ? "coalesced" : "serialized",
@@ -326,138 +319,20 @@ bool RouterTarget::close_session(std::uint64_t session) {
   return router_.close_session(sticky);
 }
 
-/// One gateway connection of a SocketTarget: a full-duplex FrameSocket, the
-/// per-request promise table, and the reader thread that resolves it from
-/// response frames (which arrive in completion order, not submission order).
-struct SocketTarget::Conn {
-  explicit Conn(gateway::FrameSocket socket) : sock(std::move(socket)) {}
-
-  gateway::FrameSocket sock;
-  std::mutex send_mu;  ///< whole frames only: senders serialize here
-  std::atomic<std::uint64_t> next_request_id{1};
-
-  std::mutex pending_mu;  ///< guards the three waiter tables
-  std::unordered_map<std::uint64_t, std::promise<serve::Fix>> fix_waiters;
-  std::unordered_map<std::uint64_t,
-                     std::promise<std::pair<gateway::wire::Status, std::uint64_t>>>
-      open_waiters;
-  std::unordered_map<std::uint64_t, std::promise<gateway::wire::Status>> close_waiters;
-
-  std::atomic<bool> dead{false};
-  std::thread reader;
-
-  void start_reader() {
-    reader = std::thread([this] { read_loop(); });
-  }
-
-  void read_loop() {
-    using gateway::wire::MsgType;
-    using gateway::wire::Status;
-    while (std::optional<gateway::wire::Frame> frame = sock.recv_frame(-1)) {
-      switch (frame->type.as<MsgType>()) {
-        case MsgType::kFix: {
-          Status status = Status::kStopped;
-          serve::Fix fix;
-          const bool decoded =
-              gateway::wire::decode_fix_body(frame->body, status, fix);
-          std::promise<serve::Fix> waiter;
-          {
-            std::lock_guard<std::mutex> lock(pending_mu);
-            const auto it = fix_waiters.find(frame->request_id);
-            if (it == fix_waiters.end()) break;  // sync caller gave up; drop
-            waiter = std::move(it->second);
-            fix_waiters.erase(it);
-          }
-          if (decoded && status == Status::kOk) {
-            waiter.set_value(fix);
-          } else {
-            // The shared status table maps every non-kOk wire status to the
-            // exception the report counters expect (kDeadlineExpired ->
-            // engine::DeadlineExpired, the rest -> WireRejected).
-            waiter.set_exception(gateway::wire::rejection_exception(
-                decoded ? status : Status::kStopped));
-          }
-          break;
-        }
-        case MsgType::kSessionOpened: {
-          Status status = Status::kStopped;
-          std::uint64_t wire_id = 0;
-          if (!gateway::wire::decode_session_opened_body(frame->body, status, wire_id)) {
-            status = Status::kStopped;
-            wire_id = 0;
-          }
-          std::lock_guard<std::mutex> lock(pending_mu);
-          const auto it = open_waiters.find(frame->request_id);
-          if (it != open_waiters.end()) {
-            it->second.set_value({status, wire_id});
-            open_waiters.erase(it);
-          }
-          break;
-        }
-        case MsgType::kSessionClosed: {
-          Status status = Status::kStopped;
-          (void)gateway::wire::decode_status_body(frame->body, status);
-          std::lock_guard<std::mutex> lock(pending_mu);
-          const auto it = close_waiters.find(frame->request_id);
-          if (it != close_waiters.end()) {
-            it->second.set_value(status);
-            close_waiters.erase(it);
-          }
-          break;
-        }
-        default:
-          // kError (the server is about to hang up) or a type this harness
-          // never requests: nothing sane can follow.
-          fail_all();
-          return;
-      }
-    }
-    fail_all();  // EOF / hard error: every outstanding request is lost
-  }
-
-  /// Fails every outstanding promise — connection is gone.
-  void fail_all() {
-    dead.store(true, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(pending_mu);
-    const auto lost =
-        std::make_exception_ptr(WireRejected(gateway::wire::Status::kStopped));
-    for (auto& [id, waiter] : fix_waiters) waiter.set_exception(lost);
-    for (auto& [id, waiter] : open_waiters) {
-      waiter.set_value({gateway::wire::Status::kStopped, 0});
-    }
-    for (auto& [id, waiter] : close_waiters) {
-      waiter.set_value(gateway::wire::Status::kStopped);
-    }
-    fix_waiters.clear();
-    open_waiters.clear();
-    close_waiters.clear();
-  }
-
-  ~Conn() {
-    sock.shutdown_both();  // unparks the reader (it observes EOF)
-    if (reader.joinable()) reader.join();
-  }
-};
-
 std::unique_ptr<SocketTarget> SocketTarget::connect(const std::string& host,
                                                     std::uint16_t port,
                                                     std::size_t connections) {
   auto target = std::unique_ptr<SocketTarget>(new SocketTarget());
   for (std::size_t i = 0; i < std::max<std::size_t>(1, connections); ++i) {
-    std::optional<gateway::FrameSocket> sock = gateway::connect_socket(host, port);
-    if (!sock.has_value()) return nullptr;
-    target->conns_.push_back(std::make_unique<Conn>(std::move(*sock)));
-    target->conns_.back()->start_reader();
+    std::unique_ptr<net::Pipeline> pipe =
+        net::Pipeline::connect(host, port, gateway::wire::message_set());
+    if (!pipe) return nullptr;
+    target->pipes_.push_back(std::move(pipe));
   }
   return target;
 }
 
 SocketTarget::~SocketTarget() = default;
-
-SocketTarget::Conn& SocketTarget::pick_conn() {
-  const std::uint64_t n = next_conn_.fetch_add(1, std::memory_order_relaxed);
-  return *conns_[n % conns_.size()];
-}
 
 namespace {
 
@@ -471,76 +346,91 @@ std::uint64_t wire_deadline_us(const engine::SubmitOptions& options) {
   return left.count() > 0 ? static_cast<std::uint64_t>(left.count()) : 1;
 }
 
+/// Blocking round trip over a pipeline: `decode` maps the `expect`-typed
+/// response to a T; `lost` is the answer when the connection closed first.
+template <typename T, typename Decode>
+T round_trip(net::Pipeline& pipe, gateway::wire::Frame frame,
+             gateway::wire::MsgType expect, T lost, Decode decode) {
+  auto promise = std::make_shared<std::promise<T>>();
+  std::future<T> reply = promise->get_future();
+  const bool sent = pipe.call(std::move(frame), expect,
+                              [promise, lost, decode](const net::Frame* response) {
+                                promise->set_value(response != nullptr ? decode(*response)
+                                                                       : lost);
+                              });
+  return sent ? reply.get() : lost;
+}
+
 }  // namespace
 
-engine::Submission SocketTarget::submit(const std::string& shard_key,
-                                        const serve::RssiVector& rssi,
-                                        const engine::SubmitOptions& options) {
-  Conn& conn = pick_conn();
-  engine::Submission out;
-  if (conn.dead.load(std::memory_order_relaxed)) return out;  // kStopped
-  gateway::wire::Frame frame;
-  frame.type = gateway::wire::MsgType::kLocate;
-  frame.request_id = conn.next_request_id.fetch_add(1, std::memory_order_relaxed);
-  frame.cls = options.request_class;
-  frame.deadline_us = wire_deadline_us(options);
-  frame.body = gateway::wire::encode_locate_body(shard_key, rssi);
-  std::promise<serve::Fix> promise;
-  out.result = promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.fix_waiters.emplace(frame.request_id, std::move(promise));
-  }
-  bool sent;
-  {
-    std::lock_guard<std::mutex> lock(conn.send_mu);
-    sent = conn.sock.send_frame(frame);
-  }
-  if (!sent) {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.fix_waiters.erase(frame.request_id);
-    out.result = std::future<serve::Fix>();
-    return out;  // kStopped
-  }
+engine::Submission SocketTarget::send_fix_request(net::Pipeline& pipe,
+                                                  gateway::wire::Frame frame) {
+  using gateway::wire::Status;
+  auto promise = std::make_shared<std::promise<serve::Fix>>();
+  engine::Submission out;  // kStopped unless the frame reaches the wire
+  std::future<serve::Fix> result = promise->get_future();
+  const bool sent = pipe.call(
+      std::move(frame), gateway::wire::MsgType::kFix,
+      [promise](const net::Frame* response) {
+        Status status = Status::kStopped;
+        serve::Fix fix;
+        if (response == nullptr ||
+            !gateway::wire::decode_fix_body(response->body, status, fix)) {
+          status = Status::kStopped;
+        }
+        if (status == Status::kOk) {
+          promise->set_value(fix);
+        } else {
+          // The shared status table maps every non-kOk wire status to the
+          // exception the report counters expect (kDeadlineExpired ->
+          // engine::DeadlineExpired, the rest -> WireRejected).
+          promise->set_exception(gateway::wire::rejection_exception(status));
+        }
+      });
+  if (!sent) return out;
   // Optimistic: the frame is on the wire. A server-side rejection comes
   // back through the future as WireRejected — there is no admission
   // verdict a pipelined client could wait for without serializing.
   out.status = engine::SubmitStatus::kAccepted;
+  out.result = std::move(result);
   return out;
+}
+
+engine::Submission SocketTarget::submit(const std::string& shard_key,
+                                        const serve::RssiVector& rssi,
+                                        const engine::SubmitOptions& options) {
+  gateway::wire::Frame frame;
+  frame.type = gateway::wire::MsgType::kLocate;
+  frame.cls = options.request_class;
+  frame.deadline_us = wire_deadline_us(options);
+  frame.body = gateway::wire::encode_locate_body(shard_key, rssi);
+  const std::uint64_t n = next_conn_.fetch_add(1, std::memory_order_relaxed);
+  return send_fix_request(*pipes_[n % pipes_.size()], std::move(frame));
 }
 
 std::optional<std::uint64_t> SocketTarget::open_session(const std::string& shard_key,
                                                         const geo::Point2& start) {
-  const std::size_t conn_index =
-      next_conn_.fetch_add(1, std::memory_order_relaxed) % conns_.size();
-  Conn& conn = *conns_[conn_index];
-  if (conn.dead.load(std::memory_order_relaxed)) return std::nullopt;
+  using gateway::wire::Status;
+  const std::size_t conn =
+      next_conn_.fetch_add(1, std::memory_order_relaxed) % pipes_.size();
   gateway::wire::Frame frame;
   frame.type = gateway::wire::MsgType::kOpenSession;
-  frame.request_id = conn.next_request_id.fetch_add(1, std::memory_order_relaxed);
   frame.body = gateway::wire::encode_open_session_body(shard_key, start);
-  std::promise<std::pair<gateway::wire::Status, std::uint64_t>> promise;
-  std::future<std::pair<gateway::wire::Status, std::uint64_t>> reply =
-      promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.open_waiters.emplace(frame.request_id, std::move(promise));
-  }
-  bool sent;
-  {
-    std::lock_guard<std::mutex> lock(conn.send_mu);
-    sent = conn.sock.send_frame(frame);
-  }
-  if (!sent) {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.open_waiters.erase(frame.request_id);
-    return std::nullopt;
-  }
-  const auto [status, wire_id] = reply.get();
-  if (status != gateway::wire::Status::kOk) return std::nullopt;
+  const std::optional<std::uint64_t> wire_id = round_trip<std::optional<std::uint64_t>>(
+      *pipes_[conn], std::move(frame), gateway::wire::MsgType::kSessionOpened,
+      std::nullopt, [](const net::Frame& response) -> std::optional<std::uint64_t> {
+        Status status = Status::kStopped;
+        std::uint64_t id = 0;
+        if (!gateway::wire::decode_session_opened_body(response.body, status, id) ||
+            status != Status::kOk) {
+          return std::nullopt;
+        }
+        return id;
+      });
+  if (!wire_id.has_value()) return std::nullopt;
   std::lock_guard<std::mutex> lock(session_mu_);
   const std::uint64_t handle = next_session_key_++;
-  sessions_.emplace(handle, SessionRef{conn_index, wire_id});
+  sessions_.emplace(handle, SessionRef{conn, *wire_id});
   return handle;
 }
 
@@ -557,34 +447,13 @@ engine::Submission SocketTarget::track(std::uint64_t session, serve::ImuSegment 
     }
     ref = it->second;
   }
-  Conn& conn = *conns_[ref.conn];  // sticky: session FIFO rides one socket
-  engine::Submission out;
-  if (conn.dead.load(std::memory_order_relaxed)) return out;  // kStopped
   gateway::wire::Frame frame;
   frame.type = gateway::wire::MsgType::kTrackUpdate;
-  frame.request_id = conn.next_request_id.fetch_add(1, std::memory_order_relaxed);
   frame.cls = options.request_class;
   frame.deadline_us = wire_deadline_us(options);
   frame.body = gateway::wire::encode_track_body(ref.wire_id, segment);
-  std::promise<serve::Fix> promise;
-  out.result = promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.fix_waiters.emplace(frame.request_id, std::move(promise));
-  }
-  bool sent;
-  {
-    std::lock_guard<std::mutex> lock(conn.send_mu);
-    sent = conn.sock.send_frame(frame);
-  }
-  if (!sent) {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.fix_waiters.erase(frame.request_id);
-    out.result = std::future<serve::Fix>();
-    return out;  // kStopped
-  }
-  out.status = engine::SubmitStatus::kAccepted;
-  return out;
+  // Sticky: a session's FIFO rides one socket.
+  return send_fix_request(*pipes_[ref.conn], std::move(frame));
 }
 
 bool SocketTarget::close_session(std::uint64_t session) {
@@ -596,44 +465,16 @@ bool SocketTarget::close_session(std::uint64_t session) {
     ref = it->second;
     sessions_.erase(it);
   }
-  Conn& conn = *conns_[ref.conn];
-  if (conn.dead.load(std::memory_order_relaxed)) return false;
   gateway::wire::Frame frame;
   frame.type = gateway::wire::MsgType::kCloseSession;
-  frame.request_id = conn.next_request_id.fetch_add(1, std::memory_order_relaxed);
   frame.body = gateway::wire::encode_close_session_body(ref.wire_id);
-  std::promise<gateway::wire::Status> promise;
-  std::future<gateway::wire::Status> reply = promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.close_waiters.emplace(frame.request_id, std::move(promise));
-  }
-  bool sent;
-  {
-    std::lock_guard<std::mutex> lock(conn.send_mu);
-    sent = conn.sock.send_frame(frame);
-  }
-  if (!sent) {
-    std::lock_guard<std::mutex> lock(conn.pending_mu);
-    conn.close_waiters.erase(frame.request_id);
-    return false;
-  }
-  return reply.get() == gateway::wire::Status::kOk;
-}
-
-gateway::GatewayConfig gateway_config_from_env(gateway::GatewayConfig defaults) {
-  EnvConfig env;
-  return env.gateway(std::move(defaults));
-}
-
-std::string describe_gateway_config(const gateway::GatewayConfig& cfg) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "bind %s:%u (0 = ephemeral), %zu handler threads, "
-                "inflight window %zu, max frame %zu B",
-                cfg.bind_address.c_str(), static_cast<unsigned>(cfg.port),
-                cfg.threads, cfg.inflight_window, cfg.max_frame_bytes);
-  return buffer;
+  return round_trip<bool>(
+      *pipes_[ref.conn], std::move(frame), gateway::wire::MsgType::kSessionClosed, false,
+      [](const net::Frame& response) {
+        auto status = gateway::wire::Status::kStopped;
+        return gateway::wire::decode_status_body(response.body, status) &&
+               status == gateway::wire::Status::kOk;
+      });
 }
 
 // --- open-loop load ----------------------------------------------------------
@@ -820,24 +661,6 @@ OpenLoopReport run_open_loop(LoadTarget& target,
         report.wall_seconds;
   }
   return report;
-}
-
-OpenLoopConfig open_loop_config_from_env(OpenLoopConfig defaults) {
-  EnvConfig env;
-  return env.open_loop(defaults);
-}
-
-std::string describe_open_loop_config(const OpenLoopConfig& cfg) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "offered %.0f qps (NOBLE_LOAD_QPS) for %.1f s "
-                "(NOBLE_LOAD_SECONDS), mix %.0f%% bulk / %.0f%% session, "
-                "%zu sessions, bulk deadline %llu us, %zu settlers",
-                cfg.offered_qps, cfg.seconds, 100.0 * cfg.bulk_fraction,
-                100.0 * cfg.session_fraction, cfg.sessions,
-                static_cast<unsigned long long>(cfg.bulk_deadline_us),
-                cfg.settlers);
-  return buffer;
 }
 
 void print_open_loop_row(const OpenLoopReport& report) {

@@ -29,6 +29,7 @@
 #include "fleet/router.h"
 #include "gateway/gateway.h"
 #include "gateway/wire.h"
+#include "net/pipeline.h"
 
 namespace noble::bench {
 
@@ -50,32 +51,9 @@ core::RegressionConfig regression_config();
 /// NObLe IMU hyperparameters.
 core::NobleImuConfig noble_imu_config();
 
-/// Engine knobs shared by the engine/fleet/cache benches, applied over
-/// `defaults` (every field falls back to the passed default):
-/// NOBLE_ENGINE_WORKERS, NOBLE_ENGINE_MAX_BATCH, NOBLE_ENGINE_MAX_WAIT_US,
-/// NOBLE_ENGINE_QUEUE_CAP, NOBLE_ENGINE_ADAPTIVE (0/1),
-/// NOBLE_ENGINE_BACKEND (dense|quantized), NOBLE_ENGINE_CACHE_CAP,
-/// NOBLE_ENGINE_CACHE_STEP_DB, NOBLE_ENGINE_CLASS_CAPS
-/// ("interactive:bulk" queue-slot caps, 0 = uncapped, e.g. "0:256"),
-/// NOBLE_ENGINE_DEADLINE_US (engine-wide default deadline budget, 0 = off),
-/// NOBLE_ENGINE_EDF (0/1: bulk lane FIFO vs earliest-deadline-first) and
-/// NOBLE_ENGINE_COALESCE (0/1: cross-session IMU batching vs
-/// serialized-per-track draining).
-/// Also applies the process-wide NOBLE_KERNEL override (scalar|avx2|auto).
-/// `defaults.workers == 0` means auto: size the pool to min(hardware, 8),
-/// at least 2 — what the throughput benches want on any host.
-engine::EngineConfig engine_config_from_env(engine::EngineConfig defaults = {});
-
-/// One-line engine-config summary for bench banners.
+/// One-line engine-config summary for bench banners (engine configs come
+/// from bench::EnvConfig::engine, support/env_config.h).
 std::string describe_engine_config(const engine::EngineConfig& cfg);
-
-/// Gateway knobs applied over `defaults`: NOBLE_GATEWAY_PORT (0 =
-/// ephemeral) and NOBLE_GATEWAY_THREADS (connection-handler threads) — the
-/// two that change what a CI log must record to reproduce a smoke run.
-gateway::GatewayConfig gateway_config_from_env(gateway::GatewayConfig defaults = {});
-
-/// One-line gateway-config summary for bench banners.
-std::string describe_gateway_config(const gateway::GatewayConfig& cfg);
 
 // --- load targets ------------------------------------------------------------
 
@@ -133,13 +111,12 @@ class RouterTarget final : public LoadTarget {
   std::uint64_t next_session_ = 1;
 };
 
-/// Live-socket target: N gateway connections, requests fanned round-robin,
-/// one reader thread per connection fulfilling promises as response frames
-/// arrive. submit() is optimistic (kAccepted once the frame is on the
-/// wire); server-side rejections come back through the future as
-/// WireRejected, deadline lapses as engine::DeadlineExpired. One session's
-/// updates always ride one connection, preserving the engine's per-session
-/// FIFO contract end to end.
+/// Live-socket target: N gateway connections, each a net::Pipeline,
+/// requests fanned round-robin. submit() is optimistic (kAccepted once the
+/// frame is on the wire); server-side rejections come back through the
+/// future as WireRejected, deadline lapses as engine::DeadlineExpired. One
+/// session's updates always ride one connection, preserving the engine's
+/// per-session FIFO contract end to end.
 class SocketTarget final : public LoadTarget {
  public:
   /// Connects `connections` sockets to a running gateway; nullptr when any
@@ -159,16 +136,16 @@ class SocketTarget final : public LoadTarget {
   std::string name() const override { return "wire"; }
 
  private:
-  struct Conn;
   SocketTarget() = default;
-  Conn& pick_conn();
+  /// Sends a kLocate/kTrackUpdate frame; the future settles from its kFix.
+  engine::Submission send_fix_request(net::Pipeline& pipe, gateway::wire::Frame frame);
 
   struct SessionRef {
     std::size_t conn = 0;         ///< the connection the session is sticky to
     std::uint64_t wire_id = 0;    ///< the server's id on that connection
   };
 
-  std::vector<std::unique_ptr<Conn>> conns_;
+  std::vector<std::unique_ptr<net::Pipeline>> pipes_;
   std::atomic<std::uint64_t> next_conn_{0};
   std::mutex session_mu_;  ///< guards the session handle map
   std::unordered_map<std::uint64_t, SessionRef> sessions_;
@@ -290,14 +267,6 @@ OpenLoopReport run_open_loop(LoadTarget& target,
                              const std::vector<serve::ImuSegment>& segments,
                              const std::vector<geo::Point2>& session_starts,
                              const OpenLoopConfig& cfg);
-
-/// Open-loop sweep knobs: NOBLE_LOAD_QPS (first offered-QPS step) and
-/// NOBLE_LOAD_SECONDS (measurement window per step), printed by
-/// describe_open_loop_config so a CI log reproduces the run.
-OpenLoopConfig open_loop_config_from_env(OpenLoopConfig defaults = {});
-
-/// One-line open-loop summary for bench banners.
-std::string describe_open_loop_config(const OpenLoopConfig& cfg);
 
 /// Prints one offered-vs-measured open-loop row (all three classes).
 void print_open_loop_row(const OpenLoopReport& report);

@@ -1,19 +1,13 @@
 // One env-knob reader for every bench and demo binary.
 //
-// Before this, engine_config_from_env, gateway_config_from_env and
-// open_loop_config_from_env each read the environment their own way and
-// printed their own banners; adding the NOBLE_CLUSTER_* family would have
-// made a fourth copy. EnvConfig is the single path: every read goes through
-// integer()/real()/flag()/text(), which apply the environment over the
-// caller's default AND record what was read — name, resolved value, and
-// whether the environment or the default supplied it. describe() then
-// renders the whole record, so a CI log always shows the exact knob set
-// that produced a run, including the knobs left at their defaults.
-//
-// The old *_config_from_env names survive as thin wrappers over the
-// composite readers here (engine()/gateway()/open_loop()), so existing
-// benches compile unchanged; new code should construct an EnvConfig,
-// read every config through it, and print describe() once.
+// Every read goes through integer()/real()/flag()/text(), which apply the
+// environment over the caller's default AND record what was read — name,
+// resolved value, and whether the environment or the default supplied it.
+// describe() then renders the whole record, so a CI log always shows the
+// exact knob set that produced a run, including the knobs left at their
+// defaults. A bench constructs one EnvConfig, reads every config through
+// it (engine()/gateway()/open_loop()/cluster_*()), and prints describe()
+// once.
 #ifndef NOBLE_BENCH_SUPPORT_ENV_CONFIG_H_
 #define NOBLE_BENCH_SUPPORT_ENV_CONFIG_H_
 

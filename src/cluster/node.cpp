@@ -3,7 +3,6 @@
 #include <chrono>
 #include <deque>
 #include <future>
-#include <unordered_map>
 #include <utility>
 
 #include "gateway/wire.h"
@@ -12,91 +11,6 @@
 namespace noble::cluster {
 
 namespace wire = gateway::wire;
-
-// --- outbound spill connection -----------------------------------------------
-
-/// One socket to one peer, shared by every spilled scan headed there:
-/// senders append frames under send_mu and park a promise under the
-/// request id; the reader thread settles promises in whatever order the
-/// peer answers. Peer loss fails every outstanding promise (the spilled
-/// submissions surface kStopped, which the caller's harness counts as a
-/// shed — never a hang).
-struct NodeAgent::SpillPeer {
-  SpillPeer(net::FrameSocket socket, obs::Counter& completed, obs::Counter& failed)
-      : sock(std::move(socket)), completed(completed), failed(failed) {
-    reader = std::thread([this] { read_loop(); });
-  }
-
-  ~SpillPeer() {
-    sock.shutdown_both();  // unparks the reader at EOF
-    if (reader.joinable()) reader.join();
-  }
-
-  std::future<serve::Fix> enlist(std::uint64_t request_id) {
-    std::lock_guard<std::mutex> lock(pending_mu);
-    return pending.emplace(request_id, std::promise<serve::Fix>())
-        .first->second.get_future();
-  }
-
-  void abandon(std::uint64_t request_id) {
-    std::lock_guard<std::mutex> lock(pending_mu);
-    pending.erase(request_id);
-  }
-
-  bool send(const net::Frame& frame) {
-    std::lock_guard<std::mutex> lock(send_mu);
-    return sock.send_frame(frame);
-  }
-
-  void read_loop() {
-    for (;;) {
-      std::optional<net::Frame> frame = sock.recv_frame(-1);
-      if (!frame) break;  // EOF, peer reset, or malformed stream
-      if (frame->type != proto::MsgType::kSpillResult) break;  // protocol breach
-      wire::Status status = wire::Status::kStopped;
-      serve::Fix fix;
-      if (!wire::decode_fix_body(frame->body, status, fix)) break;
-      std::promise<serve::Fix> waiter;
-      {
-        std::lock_guard<std::mutex> lock(pending_mu);
-        auto it = pending.find(frame->request_id);
-        if (it == pending.end()) continue;  // abandoned after a failed send
-        waiter = std::move(it->second);
-        pending.erase(it);
-      }
-      if (status == wire::Status::kOk) {
-        completed.inc();
-        waiter.set_value(fix);
-      } else {
-        failed.inc();
-        waiter.set_exception(wire::rejection_exception(status));
-      }
-    }
-    fail_all();
-  }
-
-  void fail_all() {
-    std::unordered_map<std::uint64_t, std::promise<serve::Fix>> orphans;
-    {
-      std::lock_guard<std::mutex> lock(pending_mu);
-      orphans.swap(pending);
-    }
-    for (auto& [id, waiter] : orphans) {
-      (void)id;
-      failed.inc();
-      waiter.set_exception(wire::rejection_exception(wire::Status::kStopped));
-    }
-  }
-
-  net::FrameSocket sock;
-  obs::Counter& completed;
-  obs::Counter& failed;
-  std::mutex send_mu;
-  std::atomic<std::uint64_t> next_request_id{1};
-  std::mutex pending_mu;
-  std::unordered_map<std::uint64_t, std::promise<serve::Fix>> pending;
-  std::thread reader;
-};
 
 // --- per-connection server state ---------------------------------------------
 
@@ -140,7 +54,7 @@ void NodeAgent::stop() {
     hb_cv_.notify_all();
   }
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
-  std::map<std::string, std::shared_ptr<SpillPeer>> conns;
+  std::map<std::string, std::shared_ptr<net::Pipeline>> conns;
   {
     std::lock_guard<std::mutex> lock(peers_mu_);
     conns.swap(spill_conns_);
@@ -319,7 +233,7 @@ void NodeAgent::heartbeat_loop() {
 }
 
 void NodeAgent::apply_membership(std::vector<proto::NodeInfo> members) {
-  std::vector<std::shared_ptr<SpillPeer>> dropped;
+  std::vector<std::shared_ptr<net::Pipeline>> dropped;
   {
     std::lock_guard<std::mutex> lock(peers_mu_);
     peers_ = std::move(members);
@@ -368,16 +282,13 @@ std::optional<proto::NodeInfo> NodeAgent::pick_spill_peer(std::string_view shard
   return *best;
 }
 
-std::shared_ptr<NodeAgent::SpillPeer> NodeAgent::peer_conn(const proto::NodeInfo& peer) {
+std::shared_ptr<net::Pipeline> NodeAgent::peer_conn(const proto::NodeInfo& peer) {
   std::lock_guard<std::mutex> lock(peers_mu_);
   auto it = spill_conns_.find(peer.name);
   if (it != spill_conns_.end()) return it->second;
-  std::optional<net::FrameSocket> sock =
-      net::FrameSocket::connect(peer.host, peer.port, proto::message_set());
-  if (!sock) return nullptr;
-  auto conn = std::make_shared<SpillPeer>(std::move(*sock), spill_completed_,
-                                          spill_failed_);
-  spill_conns_.emplace(peer.name, conn);
+  std::shared_ptr<net::Pipeline> conn =
+      net::Pipeline::connect(peer.host, peer.port, proto::message_set());
+  if (conn) spill_conns_.emplace(peer.name, conn);
   return conn;
 }
 
@@ -401,13 +312,31 @@ engine::Submission NodeAgent::forward_spill(const proto::NodeInfo& peer,
         std::chrono::duration_cast<std::chrono::microseconds>(*options.deadline - now)
             .count());
   }
-  std::shared_ptr<SpillPeer> conn = peer_conn(peer);
+  std::shared_ptr<net::Pipeline> conn = peer_conn(peer);
   if (!conn) return out;
-  frame.request_id = conn->next_request_id.fetch_add(1, std::memory_order_relaxed);
   frame.body = proto::encode_spill_submit_body(shard_key, digest, rssi);
-  std::future<serve::Fix> result = conn->enlist(frame.request_id);
-  if (!conn->send(frame)) {
-    conn->abandon(frame.request_id);
+  // Settled on the pipeline's reader thread when the peer answers; peer
+  // loss or a protocol breach fails it with kStopped (a shed, never a hang).
+  auto promise = std::make_shared<std::promise<serve::Fix>>();
+  std::future<serve::Fix> result = promise->get_future();
+  const bool sent = conn->call(
+      std::move(frame), proto::MsgType::kSpillResult,
+      [this, promise](const net::Frame* response) {
+        wire::Status status = wire::Status::kStopped;
+        serve::Fix fix;
+        if (response == nullptr || !wire::decode_fix_body(response->body, status, fix)) {
+          status = wire::Status::kStopped;
+        }
+        if (status == wire::Status::kOk) {
+          spill_completed_.inc();
+          promise->set_value(fix);
+        } else {
+          spill_failed_.inc();
+          promise->set_exception(wire::rejection_exception(status));
+        }
+      });
+  if (!sent) {
+    // A closed pipeline never heals: drop it so the next spill reconnects.
     std::lock_guard<std::mutex> lock(peers_mu_);
     auto it = spill_conns_.find(peer.name);
     if (it != spill_conns_.end() && it->second == conn) spill_conns_.erase(it);

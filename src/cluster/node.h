@@ -41,8 +41,8 @@
 
 #include "cluster/proto.h"
 #include "fleet/router.h"
+#include "net/pipeline.h"
 #include "net/server.h"
-#include "net/socket.h"
 #include "obs/metrics.h"
 
 namespace noble::cluster {
@@ -117,11 +117,6 @@ class NodeAgent final : public fleet::Routing, private net::FrameHandler {
   proto::NodeInfo self_info() const;
 
  private:
-  /// One cached outbound spill connection to a peer: a full-duplex
-  /// FrameSocket with a reader thread settling promises by request id —
-  /// the pipelined-client shape, so N spilled scans share one socket.
-  struct SpillPeer;
-
   // --- net::FrameHandler -----------------------------------------------------
   const net::MessageSet& message_set() const override { return proto::message_set(); }
   bool on_frame(net::ServerConn& conn, net::Frame frame, std::uint64_t recv_ns) override;
@@ -134,7 +129,9 @@ class NodeAgent final : public fleet::Routing, private net::FrameHandler {
   /// digest, shallowest reported bulk depth. nullopt when no peer qualifies.
   std::optional<proto::NodeInfo> pick_spill_peer(std::string_view shard_key,
                                                  std::uint64_t digest) const;
-  std::shared_ptr<SpillPeer> peer_conn(const proto::NodeInfo& peer);
+  /// The cached spill pipeline to `peer` (N spilled scans share one
+  /// socket), connecting on first use; nullptr when the connect fails.
+  std::shared_ptr<net::Pipeline> peer_conn(const proto::NodeInfo& peer);
   engine::Submission forward_spill(const proto::NodeInfo& peer, std::string_view shard_key,
                                    std::uint64_t digest, const serve::RssiVector& rssi,
                                    const engine::SubmitOptions& options);
@@ -156,7 +153,7 @@ class NodeAgent final : public fleet::Routing, private net::FrameHandler {
   /// torn down.
   mutable std::mutex peers_mu_;
   std::vector<proto::NodeInfo> peers_;
-  std::map<std::string, std::shared_ptr<SpillPeer>> spill_conns_;  ///< by peer name
+  std::map<std::string, std::shared_ptr<net::Pipeline>> spill_conns_;  ///< by peer name
 
   obs::Counter heartbeats_sent_;
   obs::Counter membership_updates_;

@@ -33,13 +33,9 @@
 // Class and deadline decide *when and whether* a scan runs — never its
 // result: any request that is served is bit-identical to direct inference.
 //
-// Two more admission-control refinements on top of PR 3:
-//  - an optional RSSI-fingerprint -> Fix cache (quantized-key/exact-verify,
-//    bounded sharded LRU — engine/fingerprint_cache.h) answers repeated
-//    scans at submit() without entering the queue;
-//  - an optional adaptive batching window shrinks max_wait toward 0 while
-//    the queue is backlogged (batches fill without waiting) and grows it
-//    back when traffic idles.
+// An optional RSSI-fingerprint -> Fix cache (quantized-key/exact-verify,
+// bounded sharded LRU — engine/fingerprint_cache.h) answers repeated scans
+// at submit() without entering the queue.
 //
 // A session registry multiplexes many concurrent IMU TrackingSessions
 // behind the same worker pool: per-session FIFOs keep each track's updates
@@ -162,16 +158,6 @@ struct EngineConfig {
   /// Replica forward path (dense float32 or int8 quantized); ignored by the
   /// backend-injection constructor, which receives a prototype directly.
   BackendKind backend = BackendKind::kDense;
-  /// Load-adaptive batching window: when the queue runs deeper than
-  /// max_batch — or when the measured per-request queue wait (the obs
-  /// queue_wait stage, tracked engine-side as an always-on EWMA) runs past
-  /// twice the current window — halve the wait: batches fill without
-  /// waiting, holding the window open only adds latency. When a pop leaves
-  /// the queue empty, grow it back toward max_wait_us. max_wait_us stays
-  /// the ceiling. The wait signal catches pressure depth alone misses: a
-  /// queue that hovers shallow because workers drain it instantly still
-  /// reads depth 1–2 while requests sit a full window each.
-  bool adaptive_wait = false;
   /// Order the bulk queue lane earliest-deadline-first instead of FIFO
   /// (ties and deadline-less entries break by admission sequence, so
   /// draining stays deterministic). Under a deadline-diverse bulk backlog
@@ -241,15 +227,12 @@ struct EngineStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
   std::size_t cache_entries = 0;  ///< instantaneous resident entries
-  /// Current batching window (== max_wait_us unless adaptive_wait shrank it).
-  std::uint64_t batch_wait_us = 0;
   Histogram batch_size = Histogram::batch_sizes();  ///< Wi-Fi batch sizes
   /// Cross-session IMU coalescing widths (updates per imu_batch).
   Histogram imu_batch_size = Histogram::batch_sizes();
   /// Measured per-request queue wait (admit -> dequeue) and per-batch
   /// assembly time (dequeue -> compute start) — the engine-owned, always-on
-  /// counterparts of the obs kQueueWait/kBatchAssembly stages, and the
-  /// signal the adaptive batching window feeds on.
+  /// counterparts of the obs kQueueWait/kBatchAssembly stages.
   Histogram queue_wait_us = Histogram::latency_us();
   Histogram assembly_us = Histogram::latency_us();
   Histogram latency_us = Histogram::latency_us();   ///< submit -> fulfilled
@@ -264,8 +247,7 @@ struct EngineStats {
   }
 
   /// Folds another engine's snapshot into this one: counters and gauges
-  /// sum (batch_wait_us takes the max — it is a window, not a count), the
-  /// histograms (total and per-class) merge() bin-wise, and the
+  /// sum, the histograms (total and per-class) merge() bin-wise, and the
   /// convenience percentiles are recomputed from the merged histograms.
   void merge(const EngineStats& other);
 };
@@ -403,10 +385,6 @@ class Engine {
   /// `queue_wait_us` < 0 means "never queued" (cache hits) — no wait sample.
   void record_completion(const Clock::time_point& submitted_at, RequestClass cls,
                          double queue_wait_us = -1.0);
-  /// Folds one batch's mean measured queue wait into the EWMA the adaptive
-  /// window controller reads.
-  void feed_queue_wait(double mean_wait_us);
-  void adapt_batch_window(std::uint64_t used_wait_us);
   /// Resolves the effective deadline: explicit > engine default > none.
   std::optional<Clock::time_point> resolve_deadline(const SubmitOptions& options,
                                                     const Clock::time_point& now) const;
@@ -418,13 +396,6 @@ class Engine {
   std::optional<serve::ImuLocalizer> imu_;
   BoundedQueue<Request> queue_;
   std::optional<FingerprintCache> cache_;  ///< engaged iff cache_capacity > 0
-  /// Current adaptive batching window; workers race benignly on it (it is a
-  /// relaxed gauge, and any stored value is a valid window).
-  std::atomic<std::uint64_t> batch_wait_us_;
-  /// EWMA (alpha 1/4) of the measured per-request queue wait in us — the
-  /// obs queue_wait stage signal fed back into adapt_batch_window. Relaxed
-  /// gauge like batch_wait_us_: any stored value is a valid signal.
-  std::atomic<std::uint64_t> ewma_queue_wait_us_{0};
 
   /// Admission counters are obs::Counter (thread-striped atomics): many
   /// submitter threads increment without sharing a cache line, and the

@@ -32,7 +32,7 @@ std::optional<FrameSocket> FrameSocket::connect(const std::string& host,
 FrameSocket::FrameSocket(FrameSocket&& other) noexcept
     : fd_(other.fd_),
       set_(other.set_),
-      broken_(other.broken_),
+      broken_(other.broken_.load(std::memory_order_relaxed)),
       inbuf_(std::move(other.inbuf_)) {
   other.fd_ = -1;
 }
@@ -42,7 +42,8 @@ FrameSocket& FrameSocket::operator=(FrameSocket&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
     set_ = other.set_;
-    broken_ = other.broken_;
+    broken_.store(other.broken_.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
     inbuf_ = std::move(other.inbuf_);
     other.fd_ = -1;
   }
@@ -65,7 +66,7 @@ bool FrameSocket::send_frame(const Frame& frame) {
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    broken_ = true;
+    broken_.store(true, std::memory_order_relaxed);
     return false;
   }
   return true;
@@ -79,7 +80,7 @@ std::optional<Frame> FrameSocket::recv_frame(int timeout_ms) {
       case DecodeResult::kFrame:
         return frame;
       case DecodeResult::kMalformed:
-        broken_ = true;
+        broken_.store(true, std::memory_order_relaxed);
         return std::nullopt;
       case DecodeResult::kNeedMore:
         break;
@@ -89,7 +90,7 @@ std::optional<Frame> FrameSocket::recv_frame(int timeout_ms) {
     if (ready == 0) return std::nullopt;  // timeout; socket stays usable
     if (ready < 0) {
       if (errno == EINTR) continue;
-      broken_ = true;
+      broken_.store(true, std::memory_order_relaxed);
       return std::nullopt;
     }
     char chunk[65536];
@@ -99,7 +100,8 @@ std::optional<Frame> FrameSocket::recv_frame(int timeout_ms) {
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    broken_ = true;  // orderly close or hard error: no more frames will come
+    // Orderly close or hard error: no more frames will come.
+    broken_.store(true, std::memory_order_relaxed);
     return std::nullopt;
   }
 }

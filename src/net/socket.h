@@ -3,12 +3,13 @@
 // protocol it speaks.
 //
 // FrameSocket is deliberately dumb: one frame in, one frame out, full
-// duplex — one thread may send while another receives (that is how the
-// open-loop load harness and the cluster's spill clients pipeline), but
-// each direction belongs to exactly one thread at a time.
+// duplex — one thread may send while another receives, but each direction
+// belongs to exactly one thread at a time. Sharing one socket between many
+// callers with out-of-order answers is net::Pipeline's job (net/pipeline.h).
 #ifndef NOBLE_NET_SOCKET_H_
 #define NOBLE_NET_SOCKET_H_
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -44,13 +45,14 @@ class FrameSocket {
   /// (it observes EOF), which is how a reader thread gets stopped.
   void shutdown_both();
 
-  bool valid() const { return fd_ >= 0 && !broken_; }
+  bool valid() const { return fd_ >= 0 && !broken_.load(std::memory_order_relaxed); }
 
  private:
   FrameSocket(int fd, const MessageSet* set) : fd_(fd), set_(set) {}
   int fd_ = -1;
   const MessageSet* set_ = nullptr;
-  bool broken_ = false;
+  /// Atomic: the sending and the receiving thread may both mark it.
+  std::atomic<bool> broken_{false};
   std::string inbuf_;
 };
 

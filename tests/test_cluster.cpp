@@ -1,11 +1,12 @@
 // Cluster tests: proto body codecs (round trips, hostile bytes per frame
 // type — one kError frame, peer state untouched), coordinator membership
 // and heartbeat-loss death verdicts, cross-node bulk spill (bit-identical
-// fixes, digest guard), and the staged canary -> probe -> commit rollout.
+// fixes, digest guard, a protocol-breaching peer), the staged canary ->
+// probe -> commit rollout, and the net::Pipeline client spill rides on.
 //
 // The suite carries the `concurrency` CTest label: coordinator and node
-// FrameServers, heartbeat threads, spill reader threads and engine workers
-// all interleave here.
+// FrameServers, heartbeat threads, pipeline reader threads and engine
+// workers all interleave here.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,10 +15,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +33,8 @@
 #include "core/noble_wifi.h"
 #include "fleet/router.h"
 #include "gateway/wire.h"
+#include "net/pipeline.h"
+#include "net/server.h"
 #include "net/socket.h"
 #include "serve/artifact.h"
 #include "serve/wifi_localizer.h"
@@ -751,6 +758,259 @@ TEST(ClusterHostileBytes, CoordinatorAnswersOneErrorFrameForEveryViolation) {
   // Peer state untouched: a real node still registers afterwards.
   LiveNode a("node-a", port, shard_config(64, 0), localizer_v1());
   ASSERT_TRUE(wait_until([&] { return coordinator.counters().members_joined == 1; }));
+}
+
+// ---------------------------------------------------------------------------
+// net::Pipeline — the pipelined client under cross-node spill — against a
+// scripted peer, then the spill path against a peer that breaks protocol.
+// ---------------------------------------------------------------------------
+
+/// Server side the test scripts frame by frame. The script runs on the
+/// server's single handler thread; returning false drops the connection.
+class ScriptedPeer final : public net::FrameHandler {
+ public:
+  using Script = std::function<bool(net::ServerConn&, net::Frame)>;
+  ScriptedPeer(const net::MessageSet& set, Script script)
+      : set_(set), script_(std::move(script)), server_(*this, one_thread()) {
+    EXPECT_TRUE(server_.start());
+  }
+  ~ScriptedPeer() override { server_.stop(); }
+  std::uint16_t port() const { return server_.port(); }
+  void stop() { server_.stop(); }
+
+ private:
+  static net::ServerConfig one_thread() {
+    net::ServerConfig cfg;
+    cfg.threads = 1;
+    return cfg;
+  }
+  const net::MessageSet& message_set() const override { return set_; }
+  bool on_frame(net::ServerConn& conn, net::Frame frame, std::uint64_t) override {
+    return script_(conn, std::move(frame));
+  }
+
+  const net::MessageSet& set_;
+  Script script_;
+  net::FrameServer server_;
+};
+
+enum TestMsg : std::uint32_t { kTestRequest = 1, kTestReply = 2, kTestOther = 3 };
+
+const net::MessageSet& test_message_set() {
+  static const net::MessageSet set(
+      "pipeline-test", {{kTestRequest, "request"},
+                        {kTestReply, "reply"},
+                        {kTestOther, "other"},
+                        {net::kErrorType, "error"}});
+  return set;
+}
+
+net::Frame test_request(std::string body) {
+  net::Frame frame;
+  frame.type = kTestRequest;
+  frame.body = std::move(body);
+  return frame;
+}
+
+/// Per-call bookkeeping: how often each completion ran, and what it saw
+/// ("<lost>" when the pipeline closed first).
+struct CallLog {
+  explicit CallLog(std::size_t calls) : runs(calls), seen(calls) {}
+  net::Pipeline::Completion completion(std::size_t i) {
+    return [this, i](const net::Frame* response) {
+      seen[i] = response != nullptr ? response->body : "<lost>";
+      runs[i].fetch_add(1);
+    };
+  }
+  bool all_ran() const {
+    for (const auto& r : runs) {
+      if (r.load() == 0) return false;
+    }
+    return true;
+  }
+  std::vector<std::atomic<int>> runs;
+  std::vector<std::string> seen;  ///< read only after runs[i] > 0
+};
+
+TEST(NetPipeline, OutOfOrderResponsesSettleTheirOwnCallers) {
+  constexpr std::size_t kCalls = 8;
+  std::vector<net::Frame> held;  // handler thread only
+  ScriptedPeer peer(test_message_set(), [&held](net::ServerConn& conn, net::Frame f) {
+    held.push_back(std::move(f));
+    if (held.size() == kCalls) {
+      // Answer newest first: every response overtakes the requests before it.
+      for (auto it = held.rbegin(); it != held.rend(); ++it) {
+        net::Frame reply;
+        reply.type = kTestReply;
+        reply.request_id = it->request_id;
+        reply.body = it->body;  // echo: names the caller
+        conn.send(reply);
+      }
+    }
+    return true;
+  });
+  auto pipe = net::Pipeline::connect("127.0.0.1", peer.port(), test_message_set());
+  ASSERT_NE(pipe, nullptr);
+  CallLog log(kCalls);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(pipe->call(test_request(std::to_string(i)), kTestReply,
+                           log.completion(i)));
+  }
+  ASSERT_TRUE(wait_until([&] { return log.all_ran(); }));
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(log.seen[i], std::to_string(i));
+  }
+  pipe.reset();
+  for (const auto& r : log.runs) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(NetPipeline, PeerEofSettlesEveryPendingCallExactlyOnce) {
+  constexpr std::size_t kCalls = 6;
+  std::size_t received = 0;  // handler thread only
+  ScriptedPeer peer(test_message_set(), [&received](net::ServerConn&, net::Frame) {
+    return ++received < kCalls;  // hang up on the last request, unanswered
+  });
+  auto pipe = net::Pipeline::connect("127.0.0.1", peer.port(), test_message_set());
+  ASSERT_NE(pipe, nullptr);
+  CallLog log(kCalls);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(pipe->call(test_request("q"), kTestReply, log.completion(i)));
+  }
+  ASSERT_TRUE(wait_until([&] { return log.all_ran(); }));
+  // Closed for good: later calls fail at once and never run their completion.
+  EXPECT_FALSE(pipe->call(test_request("late"), kTestReply,
+                          [](const net::Frame*) { ADD_FAILURE() << "ran"; }));
+  pipe.reset();
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(log.runs[i].load(), 1);
+    EXPECT_EQ(log.seen[i], "<lost>");
+  }
+}
+
+TEST(NetPipeline, WrongTypeFrameClosesThePipelineAndLaterCallsFailAtOnce) {
+  // The peer answers with a frame of the wrong type and keeps the socket
+  // open — the state in which a cached client used to accept calls that
+  // nobody would ever settle.
+  ScriptedPeer peer(test_message_set(), [](net::ServerConn& conn, net::Frame f) {
+    net::Frame reply;
+    reply.type = kTestOther;
+    reply.request_id = f.request_id;
+    conn.send(reply);
+    return true;
+  });
+  auto pipe = net::Pipeline::connect("127.0.0.1", peer.port(), test_message_set());
+  ASSERT_NE(pipe, nullptr);
+  CallLog log(1);
+  ASSERT_TRUE(pipe->call(test_request("q"), kTestReply, log.completion(0)));
+  ASSERT_TRUE(wait_until([&] { return log.all_ran(); }, 5000));
+  EXPECT_EQ(log.seen[0], "<lost>");
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(pipe->call(test_request("after"), kTestReply,
+                          [](const net::Frame*) { ADD_FAILURE() << "ran"; }));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+  pipe.reset();
+  EXPECT_EQ(log.runs[0].load(), 1);
+}
+
+TEST(NetPipeline, FailedCallLeavesNoPendingEntry) {
+  // The peer hangs up on its first request. Calls racing the loss either
+  // fail (their completion must never run — not even in the destructor's
+  // sweep, which runs whatever is still parked) or are accepted (their
+  // completion runs exactly once).
+  ScriptedPeer peer(test_message_set(), [](net::ServerConn&, net::Frame) { return false; });
+  auto pipe = net::Pipeline::connect("127.0.0.1", peer.port(), test_message_set());
+  ASSERT_NE(pipe, nullptr);
+  constexpr std::size_t kMaxCalls = 20000;
+  CallLog log(kMaxCalls);
+  std::vector<bool> accepted;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (accepted.size() < kMaxCalls && std::chrono::steady_clock::now() < deadline) {
+    const bool ok = pipe->call(test_request(std::string(4096, 'x')), kTestReply,
+                               log.completion(accepted.size()));
+    accepted.push_back(ok);
+    if (!ok) break;
+  }
+  ASSERT_FALSE(accepted.back()) << "the pipeline never noticed the lost peer";
+  pipe.reset();
+  for (std::size_t i = 0; i < accepted.size(); ++i) {
+    EXPECT_EQ(log.runs[i].load(), accepted[i] ? 1 : 0) << "call " << i;
+  }
+}
+
+TEST(NetPipeline, DestroyingWithCallsInFlightReturns) {
+  ScriptedPeer peer(test_message_set(), [](net::ServerConn&, net::Frame) { return true; });
+  auto pipe = net::Pipeline::connect("127.0.0.1", peer.port(), test_message_set());
+  ASSERT_NE(pipe, nullptr);
+  constexpr std::size_t kCalls = 16;
+  CallLog log(kCalls);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(pipe->call(test_request("q"), kTestReply, log.completion(i)));
+  }
+  pipe.reset();  // the peer never answers: the sweep settles every call
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(log.runs[i].load(), 1);
+    EXPECT_EQ(log.seen[i], "<lost>");
+  }
+}
+
+TEST(ClusterSpill, PeerProtocolBreachFailsSpillsInsteadOfHanging) {
+  CoordinatorConfig cc;
+  cc.dead_after_ms = 60'000;  // the fake peer says hello once
+  Coordinator coordinator(cc);
+  ASSERT_TRUE(coordinator.start());
+  // A peer advertising the right artifact that answers every spill with a
+  // frame of the wrong type, leaving its socket open.
+  ScriptedPeer breaching(proto::message_set(), [](net::ServerConn& conn, net::Frame f) {
+    net::Frame reply;
+    reply.type = proto::MsgType::kMembership;
+    reply.request_id = f.request_id;
+    reply.body = proto::encode_membership_body({});
+    conn.send(reply);
+    return true;
+  });
+  {
+    proto::NodeInfo info;
+    info.name = "breaching";
+    info.host = "127.0.0.1";
+    info.port = breaching.port();
+    info.alive = true;
+    proto::ShardState shard;
+    shard.key = "bldg-A";
+    shard.digest = localizer_v1().artifact_digest();
+    info.shards.push_back(shard);
+    std::optional<net::FrameSocket> hello_sock =
+        net::FrameSocket::connect("127.0.0.1", coordinator.port(), proto::message_set());
+    ASSERT_TRUE(hello_sock.has_value());
+    net::Frame hello;
+    hello.type = proto::MsgType::kHello;
+    hello.request_id = 1;
+    hello.body = proto::encode_node_info_body(info);
+    ASSERT_TRUE(hello_sock->send_frame(hello));
+    ASSERT_TRUE(hello_sock->recv_frame(5000).has_value());
+  }
+  LiveNode a("node-a", coordinator.port(), shard_config(2, 1), localizer_v1());
+  ASSERT_TRUE(wait_until([&] { return sees_alive_peer(*a.agent, "breaching"); }));
+
+  engine::SubmitOptions bulk;
+  bulk.request_class = engine::RequestClass::kBulk;
+  const auto queries = test_queries(16);
+  ASSERT_FALSE(queries.empty());
+  std::vector<std::future<serve::Fix>> accepted;
+  for (std::size_t round = 0; round < 8; ++round) {
+    for (const serve::RssiVector& q : queries) {
+      engine::Submission sub = a.agent->submit("bldg-A", q, bulk);
+      if (sub.accepted()) accepted.push_back(std::move(sub.result));
+    }
+  }
+  EXPECT_GT(a.agent->counters().spill_forwarded, 0u);
+  // Every accepted submission settles — served locally, or failed by the
+  // broken pipeline — within a bounded wait. None may hang.
+  for (auto& result : accepted) {
+    ASSERT_EQ(result.wait_for(5s), std::future_status::ready);
+  }
+  const NodeCounters counters = a.agent->counters();
+  EXPECT_EQ(counters.spill_completed, 0u);
+  EXPECT_EQ(counters.spill_failed, counters.spill_forwarded);
 }
 
 }  // namespace
